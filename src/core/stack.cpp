@@ -11,7 +11,54 @@ namespace shs::core {
 
 namespace {
 constexpr const char* kTag = "stack";
+
+/// The webhook codec for each type that crosses the VNI Endpoint's
+/// HTTP boundary.
+template <typename T>
+struct Codec;
+template <>
+struct Codec<k8s::Job> {
+  static constexpr auto encode = webhook::encode_job;
+  static constexpr auto decode = webhook::decode_job;
+};
+template <>
+struct Codec<k8s::VniClaim> {
+  static constexpr auto encode = webhook::encode_claim;
+  static constexpr auto decode = webhook::decode_claim;
+};
+template <>
+struct Codec<std::vector<k8s::VniObject>> {
+  static constexpr auto encode = webhook::encode_children;
+  static constexpr auto decode = webhook::decode_children;
+};
+template <>
+struct Codec<bool> {
+  static constexpr auto encode = webhook::encode_finalized;
+  static constexpr auto decode = webhook::decode_finalized;
+};
+
+/// `value` as the far side of the wire sees it: encoded, dumped to JSON
+/// text, parsed and decoded.
+template <typename T>
+Result<T> over_the_wire(const T& value) {
+  auto parsed = webhook::Json::parse(Codec<T>::encode(value).dump());
+  if (!parsed.is_ok()) return Result<T>(parsed.status());
+  return Codec<T>::decode(parsed.value());
 }
+
+/// One webhook call: the request crosses the wire, `serve` handles it
+/// on the endpoint, and its response crosses back.
+template <typename Req, typename Resp>
+Result<Resp> webhook_call(VniEndpoint& endpoint,
+                          Result<Resp> (VniEndpoint::*serve)(const Req&),
+                          const Req& req) {
+  auto request = over_the_wire(req);
+  if (!request.is_ok()) return Result<Resp>(request.status());
+  auto response = (endpoint.*serve)(request.value());
+  if (!response.is_ok()) return response;
+  return over_the_wire(response.value());
+}
+}  // namespace
 
 SlingshotStack::SlingshotStack(StackConfig config)
     : config_(config), master_rng_(config.seed) {
@@ -107,57 +154,17 @@ SlingshotStack::SlingshotStack(StackConfig config)
   // serialization boundary is honest (no shared pointers between the
   // controller and the endpoint).
   k8s::DecoratorController::Hooks hooks;
-  hooks.sync_job =
-      [this](const k8s::Job& j) -> Result<std::vector<k8s::VniObject>> {
-    using R = Result<std::vector<k8s::VniObject>>;
-    auto request = webhook::Json::parse(webhook::encode_job(j).dump());
-    if (!request.is_ok()) return R(request.status());
-    auto job = webhook::decode_job(request.value());
-    if (!job.is_ok()) return R(job.status());
-    auto children = endpoint_->sync_job(job.value());
-    if (!children.is_ok()) return children;
-    auto response = webhook::Json::parse(
-        webhook::encode_children(children.value()).dump());
-    if (!response.is_ok()) return R(response.status());
-    return webhook::decode_children(response.value());
+  hooks.sync_job = [this](const k8s::Job& j) {
+    return webhook_call(*endpoint_, &VniEndpoint::sync_job, j);
   };
-  hooks.finalize_job = [this](const k8s::Job& j) -> Result<bool> {
-    auto request = webhook::Json::parse(webhook::encode_job(j).dump());
-    if (!request.is_ok()) return Result<bool>(request.status());
-    auto job = webhook::decode_job(request.value());
-    if (!job.is_ok()) return Result<bool>(job.status());
-    auto fin = endpoint_->finalize_job(job.value());
-    if (!fin.is_ok()) return fin;
-    auto response = webhook::Json::parse(
-        webhook::encode_finalized(fin.value()).dump());
-    if (!response.is_ok()) return Result<bool>(response.status());
-    return webhook::decode_finalized(response.value());
+  hooks.finalize_job = [this](const k8s::Job& j) {
+    return webhook_call(*endpoint_, &VniEndpoint::finalize_job, j);
   };
-  hooks.sync_claim = [this](const k8s::VniClaim& c)
-      -> Result<std::vector<k8s::VniObject>> {
-    using R = Result<std::vector<k8s::VniObject>>;
-    auto request = webhook::Json::parse(webhook::encode_claim(c).dump());
-    if (!request.is_ok()) return R(request.status());
-    auto claim = webhook::decode_claim(request.value());
-    if (!claim.is_ok()) return R(claim.status());
-    auto children = endpoint_->sync_claim(claim.value());
-    if (!children.is_ok()) return children;
-    auto response = webhook::Json::parse(
-        webhook::encode_children(children.value()).dump());
-    if (!response.is_ok()) return R(response.status());
-    return webhook::decode_children(response.value());
+  hooks.sync_claim = [this](const k8s::VniClaim& c) {
+    return webhook_call(*endpoint_, &VniEndpoint::sync_claim, c);
   };
-  hooks.finalize_claim = [this](const k8s::VniClaim& c) -> Result<bool> {
-    auto request = webhook::Json::parse(webhook::encode_claim(c).dump());
-    if (!request.is_ok()) return Result<bool>(request.status());
-    auto claim = webhook::decode_claim(request.value());
-    if (!claim.is_ok()) return Result<bool>(claim.status());
-    auto fin = endpoint_->finalize_claim(claim.value());
-    if (!fin.is_ok()) return fin;
-    auto response = webhook::Json::parse(
-        webhook::encode_finalized(fin.value()).dump());
-    if (!response.is_ok()) return Result<bool>(response.status());
-    return webhook::decode_finalized(response.value());
+  hooks.finalize_claim = [this](const k8s::VniClaim& c) {
+    return webhook_call(*endpoint_, &VniEndpoint::finalize_claim, c);
   };
   vni_controller_ = std::make_unique<k8s::DecoratorController>(
       *api_, std::move(hooks), master_rng_.fork());

@@ -12,9 +12,9 @@ constexpr const char* kTag = "cxi-drv";
 }
 
 CxiDriver::CxiDriver(linuxsim::Kernel& kernel, hsn::CassiniNic& nic,
-                     std::shared_ptr<hsn::RosettaSwitch> fabric_switch,
+                     std::shared_ptr<hsn::RosettaSwitch> edge_switch,
                      AuthMode mode)
-    : kernel_(kernel), nic_(nic), switch_(std::move(fabric_switch)),
+    : kernel_(kernel), nic_(nic), switch_(std::move(edge_switch)),
       mode_(mode) {
   // The default service: unrestricted members, default VNI.  Mirrors how
   // single-tenant HPC systems ship, and serves the vni:false baseline.

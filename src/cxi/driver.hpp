@@ -56,7 +56,7 @@ class CxiDriver {
   /// unrestricted service exposing `kDefaultVni` is created, mirroring
   /// single-tenant HPC deployments (and the paper's vni:false baseline).
   CxiDriver(linuxsim::Kernel& kernel, hsn::CassiniNic& nic,
-            std::shared_ptr<hsn::RosettaSwitch> fabric_switch,
+            std::shared_ptr<hsn::RosettaSwitch> edge_switch,
             AuthMode mode = AuthMode::kNetnsExtended);
 
   [[nodiscard]] AuthMode mode() const noexcept { return mode_; }

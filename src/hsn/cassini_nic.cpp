@@ -46,28 +46,12 @@ Status drop_status(DropReason r) {
 }
 }  // namespace
 
-CassiniNic::CassiniNic(NicAddr addr, InjectFn inject,
-                       std::shared_ptr<TimingModel> timing, NicLimits limits)
-    : addr_(addr), inject_(std::move(inject)), timing_(std::move(timing)),
-      limits_(limits) {
-  ep_spines_.push_back(std::make_unique<EpSpine>(4));
-  ep_spine_.store(ep_spines_.back().get(), std::memory_order_release);
-  if (!inject_) {
-    SHS_ERROR(kTag) << "NIC " << addr_ << " built without injection path";
-  }
-}
-
 CassiniNic::CassiniNic(NicAddr addr, Fabric& fabric,
                        std::shared_ptr<TimingModel> timing, NicLimits limits)
-    : addr_(addr), fabric_(&fabric), timing_(std::move(timing)),
+    : addr_(addr), fabric_(fabric), timing_(std::move(timing)),
       limits_(limits) {
   ep_spines_.push_back(std::make_unique<EpSpine>(4));
   ep_spine_.store(ep_spines_.back().get(), std::memory_order_release);
-}
-
-RouteResult CassiniNic::inject(Packet&& p) {
-  if (fabric_ != nullptr) return fabric_->inject(std::move(p));
-  return inject_(std::move(p));
 }
 
 CassiniNic::~CassiniNic() {
@@ -231,13 +215,20 @@ std::size_t CassiniNic::mr_count() const {
   return mrs_.size();
 }
 
-void CassiniNic::push_event(Endpoint& ep, Event e, std::size_t cap) {
+void CassiniNic::push_event(Endpoint& ep, Event e) {
   bool notify;
+  bool overflow = false;
   {
     std::lock_guard<SpinLock> lock(ep.qlock);
-    if (ep.events.size() >= cap) ep.events.pop_front();  // oldest-first drop
+    if (ep.events.size() >= limits_.max_rx_queue_packets) {
+      ep.events.pop_front();  // oldest-first drop, counted below
+      overflow = true;
+    }
     ep.events.push_back(std::move(e));
     notify = ep.waiters > 0;
+  }
+  if (overflow) {
+    counters_.event_overflow.fetch_add(1, std::memory_order_relaxed);
   }
   if (notify) {
     // Taking wmutex orders the notify after the waiter's cv.wait entry.
@@ -264,16 +255,16 @@ SimTime CassiniNic::schedule_tx_locked(SimTime accepted_vt, TrafficClass tc,
   return tx_free_vt_[prio];
 }
 
-void CassiniNic::count_tx_drop(const RouteResult& rr, EndpointId src_ep,
+void CassiniNic::count_tx_drop(DropReason r, EndpointId src_ep,
                                std::uint64_t op_id, SimTime error_vt) {
   counters_.tx_dropped.fetch_add(1, std::memory_order_relaxed);
   if (const auto ep = find_ep(src_ep)) {
     Event e;
     e.type = Event::Type::kError;
-    e.status = drop_status_for(rr.reason);
+    e.status = drop_status_for(r);
     e.op_id = op_id;
     e.vt = error_vt;
-    push_event(*ep, std::move(e), limits_.max_rx_queue_packets);
+    push_event(*ep, std::move(e));
   }
 }
 
@@ -318,10 +309,6 @@ int CassiniNic::retry_budget(DropReason r) const noexcept {
   }
 }
 
-std::uint64_t CassiniNic::plan_version_now() const {
-  return fabric_ != nullptr ? fabric_->manager().plan_version() : 0;
-}
-
 void CassiniNic::set_reliability(const ReliabilityConfig& cfg) {
   std::lock_guard<SpinLock> lock(mutex_);
   rel_ = cfg;
@@ -344,27 +331,14 @@ ReliabilityCounters CassiniNic::reliability_counters() const {
 
 RouteResult CassiniNic::inject_reliable(Packet& proto, SimTime& vt_io) {
   proto.reliable = true;
-  RouteResult rr;
   std::uint64_t plan_v0 = 0;
-  bool have_v0 = false;
   for (int attempt = 0;; ++attempt) {
-    {
-      // Each attempt sends a copy; `proto` stays intact as the
-      // retransmit master.  The copy is fields-only for the size-only
-      // packets the benches send; payload-carrying packets pay one
-      // buffer copy per attempt (reliability is off on the PR 5 hot
-      // path, so this costs nothing when disabled).
-      Packet copy = proto;
-      rr = inject(std::move(copy));
-    }
+    // Each attempt sends a copy; `proto` stays intact as the retransmit
+    // master.  The copy is fields-only for size-only packets;
+    // payload-carrying packets pay one buffer copy per attempt.
+    const RouteResult rr = fabric_.inject(Packet(proto));
     if (rr.delivered) {
-      if (attempt > 0) {
-        counters_.rel_recovered.fetch_add(1, std::memory_order_relaxed);
-        if (have_v0 && plan_version_now() != plan_v0) {
-          counters_.rel_recovered_after_replan.fetch_add(
-              1, std::memory_order_relaxed);
-        }
-      }
+      if (attempt > 0) note_recovered(fabric_.plan_version() != plan_v0);
       return rr;
     }
     if (!transient_reason(rr.reason) || attempt >= retry_budget(rr.reason)) {
@@ -374,39 +348,15 @@ RouteResult CassiniNic::inject_reliable(Packet& proto, SimTime& vt_io) {
       }
       return rr;
     }
-    if (!have_v0) {
-      // Captured lazily at the first failure so the (overwhelmingly
-      // common) first-attempt success never touches the manager's lock.
-      plan_v0 = plan_version_now();
-      have_v0 = true;
-    }
-    // Exponential backoff with seeded jitter, capped at rto_max.
-    SimDuration rto = rel_.rto_base;
-    for (int i = 0; i < attempt && rto < rel_.rto_max; ++i) {
-      rto = static_cast<SimDuration>(static_cast<double>(rto) *
-                                     rel_.backoff_factor);
-    }
-    rto = std::min(rto, rel_.rto_max);
-    double jitter = 1.0;
-    if (rel_.jitter > 0.0) {
-      std::lock_guard<SpinLock> lock(mutex_);
-      jitter = rel_rng_.jitter(rel_.jitter);
-    }
-    const auto backoff =
-        static_cast<SimDuration>(static_cast<double>(rto) * jitter);
-    counters_.rel_retransmits.fetch_add(1, std::memory_order_relaxed);
+    // Captured at the first failure so the (overwhelmingly common)
+    // first-attempt success never touches the manager's lock.
+    if (attempt == 0) plan_v0 = fabric_.plan_version();
+    // The retransmitted copy re-enters the fabric through
+    // Fabric::inject, which always routes by the manager's currently
+    // published tables: a retransmit straddling a replan picks up the
+    // new CompiledPlan automatically.
+    const SimDuration backoff = schedule_retransmit(proto, attempt + 1, vt_io);
     if (retry_hook_) retry_hook_(attempt + 1, backoff);
-    vt_io += backoff;
-    {
-      // The retransmitted copy re-queues on the TX link at the
-      // backed-off time — and, crucially, re-enters the fabric through
-      // Fabric::inject, which always routes by the manager's currently
-      // published tables: a retransmit straddling a replan picks up the
-      // new CompiledPlan automatically.
-      std::lock_guard<SpinLock> lock(mutex_);
-      proto.inject_vt = schedule_tx_locked(vt_io, proto.tc, proto.ser_cache);
-      ++tx_packets_;
-    }
   }
 }
 
@@ -432,10 +382,10 @@ bool CassiniNic::accept_reliable(const Packet& p) {
 Result<SimTime> CassiniNic::prepare_tx_into(Packet& p, EndpointId ep_id,
                                             const TxParams& tx,
                                             SimTime local_vt) {
-  // The validate/build/schedule prefix every TX verb shares: same field
-  // setup, same accepted_vt, same locked seq + TX-horizon charge — so an
-  // engine-driven op is bit-identical in virtual time to a legacy one,
-  // and the two paths cannot drift.
+  // The one builder both executors share: same field setup, same
+  // accepted_vt, same locked seq + TX-horizon charge — so an
+  // engine-driven op is bit-identical in virtual time to a synchronous
+  // one, and the two paths cannot drift.
   const auto ep = find_ep(ep_id);
   if (!ep) {
     return Result<SimTime>(
@@ -474,96 +424,24 @@ Result<SimTime> CassiniNic::prepare_tx_into(Packet& p, EndpointId ep_id,
   return Result<SimTime>(accepted_vt);
 }
 
-Result<CassiniNic::PreparedSend> CassiniNic::prepare_tx(EndpointId ep_id,
-                                                        const TxParams& tx,
-                                                        SimTime local_vt) {
-  PreparedSend out;
-  auto accepted = prepare_tx_into(out.packet, ep_id, tx, local_vt);
-  if (!accepted.is_ok()) return Result<PreparedSend>(accepted.status());
-  out.accepted_vt = accepted.value();
-  return Result<PreparedSend>(std::move(out));
-}
-
-Result<CassiniNic::PreparedSend> CassiniNic::prepare_send(
-    EndpointId ep_id, NicAddr dst, EndpointId dst_ep, std::uint64_t tag,
-    std::uint64_t size_bytes, SimTime local_vt) {
-  TxParams tx;
-  tx.op = PacketOp::kSend;
-  tx.dst = dst;
-  tx.dst_ep = dst_ep;
-  tx.tag = tag;
-  tx.size_bytes = size_bytes;
-  return prepare_tx(ep_id, tx, local_vt);
-}
-
-Result<SimTime> CassiniNic::prepare_send_into(Packet& out, EndpointId ep_id,
-                                              NicAddr dst, EndpointId dst_ep,
-                                              std::uint64_t tag,
-                                              std::uint64_t size_bytes,
-                                              SimTime local_vt) {
-  TxParams tx;
-  tx.op = PacketOp::kSend;
-  tx.dst = dst;
-  tx.dst_ep = dst_ep;
-  tx.tag = tag;
-  tx.size_bytes = size_bytes;
-  return prepare_tx_into(out, ep_id, tx, local_vt);
-}
-
-Result<CassiniNic::PreparedSend> CassiniNic::prepare_rma_write(
-    EndpointId ep_id, NicAddr dst, RKey rkey, std::uint64_t offset,
-    std::uint64_t size_bytes, std::span<const std::byte> payload,
-    SimTime local_vt, std::uint64_t op_id) {
-  TxParams tx;
-  tx.op = PacketOp::kRdmaWrite;
-  tx.dst = dst;
-  tx.size_bytes = size_bytes;
-  tx.rkey = rkey;
-  tx.mr_offset = offset;
-  tx.op_id = op_id;
-  tx.payload = payload;
-  return prepare_tx(ep_id, tx, local_vt);
-}
-
-Result<CassiniNic::PreparedSend> CassiniNic::prepare_rma_read(
-    EndpointId ep_id, NicAddr dst, RKey rkey, std::uint64_t offset,
-    std::uint64_t size_bytes, SimTime local_vt, std::uint64_t op_id) {
-  TxParams tx;
-  tx.op = PacketOp::kRdmaRead;
-  tx.dst = dst;
-  tx.size_bytes = 64;  // the request is small; data rides the response
-  tx.tag = size_bytes;  // requested length travels in the tag field
-  tx.rkey = rkey;
-  tx.mr_offset = offset;
-  tx.op_id = op_id;
-  return prepare_tx(ep_id, tx, local_vt);
-}
-
 SimDuration CassiniNic::schedule_retransmit(Packet& proto, int attempt,
                                             SimTime& vt_io) {
-  // Mirrors one backoff iteration of inject_reliable: retry #1 waits
-  // rto_base, each later retry doubles (factor) up to rto_max, jittered
-  // by the same seeded per-NIC stream.
+  // Retry #1 waits rto_base, each later retry grows by backoff_factor up
+  // to rto_max, jittered by the seeded per-NIC stream.
   SimDuration rto = rel_.rto_base;
   for (int i = 1; i < attempt && rto < rel_.rto_max; ++i) {
     rto = static_cast<SimDuration>(static_cast<double>(rto) *
                                    rel_.backoff_factor);
   }
   rto = std::min(rto, rel_.rto_max);
-  double jitter = 1.0;
-  if (rel_.jitter > 0.0) {
-    std::lock_guard<SpinLock> lock(mutex_);
-    jitter = rel_rng_.jitter(rel_.jitter);
-  }
+  counters_.rel_retransmits.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<SpinLock> lock(mutex_);
+  const double jitter = rel_.jitter > 0.0 ? rel_rng_.jitter(rel_.jitter) : 1.0;
   const auto backoff =
       static_cast<SimDuration>(static_cast<double>(rto) * jitter);
-  counters_.rel_retransmits.fetch_add(1, std::memory_order_relaxed);
   vt_io += backoff;
-  {
-    std::lock_guard<SpinLock> lock(mutex_);
-    proto.inject_vt = schedule_tx_locked(vt_io, proto.tc, proto.ser_cache);
-    ++tx_packets_;
-  }
+  proto.inject_vt = schedule_tx_locked(vt_io, proto.tc, proto.ser_cache);
+  ++tx_packets_;
   return backoff;
 }
 
@@ -573,9 +451,7 @@ void CassiniNic::note_tx_drop(DropReason r, EndpointId src_ep,
   if (budget_exhausted) {
     counters_.rel_budget_exhausted.fetch_add(1, std::memory_order_relaxed);
   }
-  RouteResult rr;
-  rr.reason = r;
-  count_tx_drop(rr, src_ep, op_id, error_vt);
+  count_tx_drop(r, src_ep, op_id, error_vt);
 }
 
 void CassiniNic::note_recovered(bool after_replan) {
@@ -586,47 +462,45 @@ void CassiniNic::note_recovered(bool after_replan) {
   }
 }
 
+Result<SimTime> CassiniNic::transmit(EndpointId ep_id, const TxParams& tx,
+                                     SimTime local_vt) {
+  Packet p;
+  auto accepted = prepare_tx_into(p, ep_id, tx, local_vt);
+  if (!accepted.is_ok()) return accepted;
+  // Send-buffer hold time: with reliability on, retries push the local
+  // completion out by their backoff (the buffer stays pinned until the
+  // final attempt left the NIC).
+  SimTime done_vt = accepted.value();
+  const RouteResult rr = rel_.enabled ? inject_reliable(p, done_vt)
+                                      : fabric_.inject(std::move(p));
+  if (!rr.delivered) {
+    count_tx_drop(rr.reason, ep_id, tx.op_id, done_vt);
+    return Result<SimTime>(drop_status_for(rr.reason));
+  }
+  if (tx.op == PacketOp::kSend && tx.op_id != 0) {
+    // Selective completion, like FI_SELECTIVE_COMPLETION: only requested
+    // sends generate an event (the OSU window loop posts quietly).  RMA
+    // completions arrive with the target's reply instead.
+    if (const auto ep = find_ep(ep_id)) {
+      Event e;
+      e.type = Event::Type::kSendComplete;
+      e.op_id = tx.op_id;
+      e.size = tx.size_bytes;
+      e.vt = done_vt;
+      push_event(*ep, std::move(e));
+    }
+  }
+  return done_vt;
+}
+
 Result<SimTime> CassiniNic::post_send(EndpointId ep_id, NicAddr dst,
                                       EndpointId dst_ep, std::uint64_t tag,
                                       std::uint64_t size_bytes,
                                       std::span<const std::byte> payload,
                                       SimTime local_vt, std::uint64_t op_id) {
-  TxParams tx;
-  tx.op = PacketOp::kSend;
-  tx.dst = dst;
-  tx.dst_ep = dst_ep;
-  tx.tag = tag;
-  tx.size_bytes = size_bytes;
-  tx.op_id = op_id;
-  tx.payload = payload;
-  auto prepared = prepare_tx(ep_id, tx, local_vt);
-  if (!prepared.is_ok()) return Result<SimTime>(prepared.status());
-  PreparedSend ps = std::move(prepared).value();
-
-  // Send-buffer hold time: with reliability on, retries push the local
-  // completion out by their backoff (the buffer stays pinned until the
-  // final attempt left the NIC).
-  SimTime done_vt = ps.accepted_vt;
-  const RouteResult rr = rel_.enabled
-                             ? inject_reliable(ps.packet, done_vt)
-                             : inject(std::move(ps.packet));
-  if (!rr.delivered) {
-    count_tx_drop(rr, ep_id, op_id, done_vt);
-    return Result<SimTime>(drop_status_for(rr.reason));
-  }
-  if (op_id != 0) {
-    // Selective completion, like FI_SELECTIVE_COMPLETION: only requested
-    // sends generate an event (the OSU window loop posts quietly).
-    if (const auto ep = find_ep(ep_id)) {
-      Event e;
-      e.type = Event::Type::kSendComplete;
-      e.op_id = op_id;
-      e.size = size_bytes;
-      e.vt = done_vt;
-      push_event(*ep, std::move(e), limits_.max_rx_queue_packets);
-    }
-  }
-  return done_vt;
+  return transmit(
+      ep_id, TxParams::send(dst, dst_ep, tag, size_bytes, payload, op_id),
+      local_vt);
 }
 
 Result<SimTime> CassiniNic::rdma_write(EndpointId ep_id, NicAddr dst,
@@ -635,38 +509,19 @@ Result<SimTime> CassiniNic::rdma_write(EndpointId ep_id, NicAddr dst,
                                        std::span<const std::byte> payload,
                                        SimTime local_vt,
                                        std::uint64_t op_id) {
-  auto prepared = prepare_rma_write(ep_id, dst, rkey, offset, size_bytes,
-                                    payload, local_vt, op_id);
-  if (!prepared.is_ok()) return Result<SimTime>(prepared.status());
-  PreparedSend ps = std::move(prepared).value();
-  SimTime done_vt = ps.accepted_vt;
-  const RouteResult rr = rel_.enabled
-                             ? inject_reliable(ps.packet, done_vt)
-                             : inject(std::move(ps.packet));
-  if (!rr.delivered) {
-    count_tx_drop(rr, ep_id, op_id, done_vt);
-    return Result<SimTime>(drop_status_for(rr.reason));
-  }
-  return done_vt;
+  return transmit(ep_id,
+                  TxParams::rma_write(dst, rkey, offset, size_bytes, payload,
+                                      op_id),
+                  local_vt);
 }
 
 Result<SimTime> CassiniNic::rdma_read(EndpointId ep_id, NicAddr dst,
                                       RKey rkey, std::uint64_t offset,
                                       std::uint64_t size_bytes,
                                       SimTime local_vt, std::uint64_t op_id) {
-  auto prepared = prepare_rma_read(ep_id, dst, rkey, offset, size_bytes,
-                                   local_vt, op_id);
-  if (!prepared.is_ok()) return Result<SimTime>(prepared.status());
-  PreparedSend ps = std::move(prepared).value();
-  SimTime done_vt = ps.accepted_vt;
-  const RouteResult rr = rel_.enabled
-                             ? inject_reliable(ps.packet, done_vt)
-                             : inject(std::move(ps.packet));
-  if (!rr.delivered) {
-    count_tx_drop(rr, ep_id, op_id, done_vt);
-    return Result<SimTime>(drop_status_for(rr.reason));
-  }
-  return done_vt;
+  return transmit(ep_id,
+                  TxParams::rma_read(dst, rkey, offset, size_bytes, op_id),
+                  local_vt);
 }
 
 void CassiniNic::deliver(Packet&& p) {
@@ -679,7 +534,7 @@ void CassiniNic::deliver(Packet&& p) {
       SimTime vt = reply->inject_vt;
       (void)inject_reliable(*reply, vt);
     } else {
-      (void)inject(std::move(*reply));
+      (void)fabric_.inject(std::move(*reply));
     }
   }
 }
@@ -750,7 +605,7 @@ std::optional<Packet> CassiniNic::deliver_impl(Packet&& p) {
       e.op_id = p.op_id;
       e.size = p.tag;  // echoed write size
       e.vt = p.arrival_vt + timing_->rx_overhead();
-      push_event(*ep, std::move(e), limits_.max_rx_queue_packets);
+      push_event(*ep, std::move(e));
       return std::nullopt;
     }
 
@@ -767,7 +622,7 @@ std::optional<Packet> CassiniNic::deliver_impl(Packet&& p) {
       e.size = p.size_bytes;
       e.vt = p.arrival_vt + timing_->rx_overhead();
       e.data = std::move(p.payload);
-      push_event(*ep, std::move(e), limits_.max_rx_queue_packets);
+      push_event(*ep, std::move(e));
       return std::nullopt;
     }
 
@@ -801,7 +656,7 @@ std::optional<Packet> CassiniNic::deliver_impl(Packet&& p) {
       }
       e.op_id = p.op_id;
       e.vt = p.arrival_vt + timing_->rx_overhead();
-      push_event(*ep, std::move(e), limits_.max_rx_queue_packets);
+      push_event(*ep, std::move(e));
       return std::nullopt;
     }
 
@@ -1022,6 +877,8 @@ NicCounters CassiniNic::counters() const {
       counters_.rx_vni_mismatch.load(std::memory_order_relaxed);
   out.rma_denied = counters_.rma_denied.load(std::memory_order_relaxed);
   out.rx_overflow = counters_.rx_overflow.load(std::memory_order_relaxed);
+  out.event_overflow =
+      counters_.event_overflow.load(std::memory_order_relaxed);
   {
     std::lock_guard<SpinLock> lock(mutex_);
     out.tx_packets = tx_packets_;

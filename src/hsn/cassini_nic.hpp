@@ -15,12 +15,17 @@
 //   * every operation advances *virtual* time via the shared TimingModel
 //     (callers carry their own virtual clock; see src/mpi).
 //
-// Fabric attachment: the NIC does not hold a switch pointer.  It emits
-// packets through an injection callback (Fabric::inject routes at the
-// packet's home edge switch, always against the fabric manager's
-// current tables) and receives deliveries via deliver(), which the
-// Fabric wires as the edge switch's delivery callback.  This keeps the
-// NIC valid across topology republishes with nothing to re-validate.
+// Fabric attachment: the NIC holds its Fabric, not a switch pointer.
+// Every packet is built one way: a TxParams (TxParams::send / rma_write /
+// rma_read) handed to prepare_tx_into, which validates the endpoint,
+// stamps the VNI/TC binding, and charges the seq and TX horizon.  Both
+// executors share that builder: the synchronous verbs (post_send,
+// rdma_write, rdma_read) hand the packet to Fabric::inject, which routes
+// at the packet's home edge switch against the fabric manager's current
+// tables, and the ShardEngine builds into its pool slots and walks the
+// hops itself.  Deliveries arrive through deliver() (synchronous walk)
+// or deliver_from_engine() (engine), so the NIC stays valid across
+// topology republishes with nothing to re-validate.
 //
 // Thread-safety: all public methods may be called from any thread; RX and
 // event queues use mutex+condvar so application threads block naturally.
@@ -97,6 +102,10 @@ struct NicCounters {
   /// RX ring was at max_rx_queue_packets (DropReason::kRxOverflow) —
   /// a counted, observable drop instead of the silent loss it was.
   std::uint64_t rx_overflow = 0;
+  /// Completion events discarded because an endpoint's event queue was
+  /// at max_rx_queue_packets: the queue drops its oldest event to admit
+  /// the newest, and each discard is counted here.
+  std::uint64_t event_overflow = 0;
 };
 
 /// NIC-level reliable-delivery protocol knobs (see docs/reliability.md).
@@ -139,19 +148,12 @@ struct ReliabilityCounters {
   std::uint64_t recovered_after_replan = 0;
 };
 
-/// The NIC.  One per node; the Fabric constructs it with an injection
-/// callback and connects deliver() to the node's edge switch.
+/// The NIC.  One per node; the Fabric constructs it and connects it to
+/// the node's edge switch.
 class CassiniNic {
  public:
-  /// Hands a packet to the fabric's data plane (Fabric::inject — or, in
-  /// single-switch unit tests, RosettaSwitch::route directly).
-  using InjectFn = std::function<RouteResult(Packet&&)>;
-
-  CassiniNic(NicAddr addr, InjectFn inject,
-             std::shared_ptr<TimingModel> timing, NicLimits limits = {});
-  /// Fabric-owned NICs inject through the Fabric directly (no
-  /// std::function dispatch on the per-packet path).  The Fabric
-  /// outlives its NICs by construction.
+  /// Injects through `fabric`, which must outlive the NIC (the Fabric
+  /// owns its own NICs; a hand-wired NIC is declared after its Fabric).
   CassiniNic(NicAddr addr, Fabric& fabric,
              std::shared_ptr<TimingModel> timing, NicLimits limits = {});
   ~CassiniNic();
@@ -161,18 +163,18 @@ class CassiniNic {
   [[nodiscard]] NicAddr addr() const noexcept { return addr_; }
   [[nodiscard]] const NicLimits& limits() const noexcept { return limits_; }
 
-  /// Fabric-side entry point: the edge switch's delivery callback.
-  /// Dispatches by PacketOp; never holds an endpoint lock while
-  /// re-entering the fabric (loopback RMA replies).  One-sided targets
-  /// that owe the initiator a reply (ACK / read response / NACK) inject
-  /// it back into the fabric synchronously from here.
+  /// Synchronous-walk delivery: RosettaSwitch::route hands the packet
+  /// here when it lands on this NIC's port.  Dispatches by PacketOp;
+  /// never holds an endpoint lock while re-entering the fabric (loopback
+  /// RMA replies).  One-sided targets that owe the initiator a reply
+  /// (ACK / read response / NACK) inject it back into the fabric
+  /// synchronously from here.
   void deliver(Packet&& p);
 
   /// Engine-side delivery: identical to deliver() except that a reply
   /// the target owes is *returned* (TX-scheduled onto this NIC's seq
-  /// stream but not injected) instead of re-entering the fabric from the
-  /// delivery callback.  The sharded engine stages it as a fresh attempt
-  /// in the target's own domain, so reply traffic obeys the same
+  /// stream but not injected).  The sharded engine stages it as a fresh
+  /// attempt in the target's own domain, so reply traffic obeys the same
   /// (domain, vt, seq) merge order as everything else.  The returned
   /// packet's `reliable` flag is pre-set from this NIC's
   /// ReliabilityConfig; nullopt when the packet needed no reply.
@@ -252,11 +254,12 @@ class CassiniNic {
     return rel_;
   }
   /// Invoked between a failed attempt and its retransmit (outside every
-  /// lock) with the 1-based attempt number and the backoff about to be
-  /// charged.  Harnesses use it to advance control-plane virtual time /
-  /// trigger fabric-manager repair during the retry window.  Only safe
-  /// when sends are single-threaded (the chaos/bench drivers); do not
-  /// install one under multi-threaded MPI ranks.
+  /// lock) with the 1-based attempt number and the backoff
+  /// schedule_retransmit just charged.  Harnesses use it to advance
+  /// control-plane virtual time / trigger fabric-manager repair during
+  /// the retry window.  Only safe when sends are single-threaded (the
+  /// chaos/bench drivers); do not install one under multi-threaded MPI
+  /// ranks.
   using RetryHook = std::function<void(int attempt, SimDuration backoff)>;
   void set_retry_hook(RetryHook hook) { retry_hook_ = std::move(hook); }
   [[nodiscard]] ReliabilityCounters reliability_counters() const;
@@ -277,61 +280,71 @@ class CassiniNic {
   /// ShardEngine's retry staging.
   [[nodiscard]] int retry_budget(DropReason r) const noexcept;
 
-  // -- Sharded data-plane engine hooks (see hsn/shard_engine.hpp).  The
-  //    engine splits post_send into prepare (build + TX scheduling,
-  //    here) and walk (hop-by-hop across domains, engine-side), then
-  //    reports each op's outcome back on the engine's driver thread at
-  //    a window barrier via the note_* calls below.  All four are
+  // -- The one TX builder, shared by the synchronous verbs above and the
+  //    sharded data-plane engine (see hsn/shard_engine.hpp).  The engine
+  //    builds into its pool slots and walks the hops itself, then
+  //    reports each op's outcome back on its driver thread at a window
+  //    barrier via the note_* calls below.  Those calls, and
+  //    schedule_retransmit when the engine drives it, are
   //    driver-thread-only by contract.
 
-  /// A packet built and TX-scheduled but not yet handed to the fabric.
-  struct PreparedSend {
-    Packet packet;
-    /// local_vt + tx overhead — the base the retransmit backoff grows
-    /// from (post_send's `done_vt`).
-    SimTime accepted_vt = 0;
+  /// Everything that varies between the TX verbs; prepare_tx_into
+  /// supplies the invariant parts (src addressing, VNI/TC binding,
+  /// reliability flag, serialization cache, seq and TX-horizon charge).
+  struct TxParams {
+    PacketOp op = PacketOp::kSend;
+    NicAddr dst = kInvalidNic;
+    EndpointId dst_ep = 0;
+    std::uint64_t tag = 0;
+    std::uint64_t size_bytes = 0;
+    RKey rkey = 0;
+    std::uint64_t mr_offset = 0;
+    std::uint64_t op_id = 0;
+    std::span<const std::byte> payload;
+
+    /// Two-sided send; `payload` may be empty (size-only packet).
+    static TxParams send(NicAddr dst, EndpointId dst_ep, std::uint64_t tag,
+                         std::uint64_t size_bytes,
+                         std::span<const std::byte> payload = {},
+                         std::uint64_t op_id = 0) {
+      return {.op = PacketOp::kSend, .dst = dst, .dst_ep = dst_ep,
+              .tag = tag, .size_bytes = size_bytes, .op_id = op_id,
+              .payload = payload};
+    }
+    /// One-sided write of `size_bytes` into remote MR `rkey` at `offset`.
+    static TxParams rma_write(NicAddr dst, RKey rkey, std::uint64_t offset,
+                              std::uint64_t size_bytes,
+                              std::span<const std::byte> payload,
+                              std::uint64_t op_id) {
+      return {.op = PacketOp::kRdmaWrite, .dst = dst,
+              .size_bytes = size_bytes, .rkey = rkey, .mr_offset = offset,
+              .op_id = op_id, .payload = payload};
+    }
+    /// One-sided read request: a 64-byte packet whose `tag` carries the
+    /// wanted length; the data rides the target's response.
+    static TxParams rma_read(NicAddr dst, RKey rkey, std::uint64_t offset,
+                             std::uint64_t size_bytes, std::uint64_t op_id) {
+      return {.op = PacketOp::kRdmaRead, .dst = dst, .tag = size_bytes,
+              .size_bytes = 64, .rkey = rkey, .mr_offset = offset,
+              .op_id = op_id};
+    }
   };
-  /// Engine-side prefix of post_send(): validates the endpoint, builds
-  /// the kSend packet (size-only, no payload), assigns its NIC-global
-  /// sequence number and charges the TX link horizon.  Does not inject,
-  /// retry, or raise completion events; packet.reliable is pre-set from
-  /// this NIC's ReliabilityConfig.
-  Result<PreparedSend> prepare_send(EndpointId ep, NicAddr dst,
-                                    EndpointId dst_ep, std::uint64_t tag,
-                                    std::uint64_t size_bytes,
-                                    SimTime local_vt);
-  /// Zero-copy variant of prepare_send for the engine's pooled staging:
-  /// builds the packet directly into caller-owned storage `out`
-  /// (typically a slot of a ShardEngine item pool) and returns the
-  /// accepted_vt, skipping the PreparedSend move chain on the
-  /// highest-rate verb.  `out` is only written on success.
-  Result<SimTime> prepare_send_into(Packet& out, EndpointId ep, NicAddr dst,
-                                    EndpointId dst_ep, std::uint64_t tag,
-                                    std::uint64_t size_bytes,
-                                    SimTime local_vt);
-  /// Engine-side prefix of rdma_write(): same packet rdma_write would
-  /// inject (payload copied when non-empty), same accepted_vt, seq and
-  /// TX charge.  The completion (kRdmaWriteComplete via the target's
-  /// ACK, or kError via a NACK/drop) is raised with `op_id` when the
-  /// reply lands.
-  Result<PreparedSend> prepare_rma_write(EndpointId ep, NicAddr dst,
-                                         RKey rkey, std::uint64_t offset,
-                                         std::uint64_t size_bytes,
-                                         std::span<const std::byte> payload,
-                                         SimTime local_vt,
-                                         std::uint64_t op_id);
-  /// Engine-side prefix of rdma_read(): the small read *request* packet
-  /// (wanted length rides in `tag`, as on the synchronous path).
-  Result<PreparedSend> prepare_rma_read(EndpointId ep, NicAddr dst,
-                                        RKey rkey, std::uint64_t offset,
-                                        std::uint64_t size_bytes,
-                                        SimTime local_vt,
-                                        std::uint64_t op_id);
+  /// Validates `ep`, builds the packet `tx` describes into `out` (any
+  /// caller-owned storage, e.g. a recycled ShardEngine pool slot; every
+  /// field is overwritten), assigns its NIC-global sequence number and
+  /// charges the TX link horizon.  Returns the accepted time (local_vt +
+  /// tx overhead), the base any retransmit backoff grows from.  Does not
+  /// inject, retry, or raise completion events; out.reliable is pre-set
+  /// from this NIC's ReliabilityConfig.  `out` is untouched on failure.
+  Result<SimTime> prepare_tx_into(Packet& out, EndpointId ep,
+                                  const TxParams& tx, SimTime local_vt);
   /// Charges one retransmit of master packet `proto` for 1-based retry
-  /// number `attempt`: recomputes the capped exponential backoff, draws
+  /// number `attempt`: computes the capped exponential backoff, draws
   /// the seeded jitter, advances `vt_io` (the op's send-buffer hold
   /// time) by the backoff, re-schedules the TX horizon (updating
   /// proto.inject_vt) and counts the retransmit.  Returns the backoff.
+  /// The one backoff schedule: inject_reliable charges its retries here
+  /// too.
   SimDuration schedule_retransmit(Packet& proto, int attempt,
                                   SimTime& vt_io);
   /// Terminal-failure accounting for an engine-driven send: TX-drop
@@ -460,39 +473,21 @@ class CassiniNic {
     std::vector<std::atomic<EpChunk*>> chunks;
   };
 
-  /// Everything that varies between the TX verbs; prepare_tx supplies
-  /// the invariant parts (src addressing, VNI/TC binding, reliability
-  /// flag, serialization cache, seq and TX-horizon charge).
-  struct TxParams {
-    PacketOp op = PacketOp::kSend;
-    NicAddr dst = kInvalidNic;
-    EndpointId dst_ep = 0;
-    std::uint64_t tag = 0;
-    std::uint64_t size_bytes = 0;
-    RKey rkey = 0;
-    std::uint64_t mr_offset = 0;
-    std::uint64_t op_id = 0;
-    std::span<const std::byte> payload;
-  };
-  /// The one validate/build/schedule prefix every TX verb shares —
-  /// post_send, rdma_write, rdma_read, and the engine's prepare_*
-  /// hooks all delegate here, so the legacy and engine paths cannot
-  /// drift: endpoint validation, packet field setup, accepted_vt,
-  /// serialization cache, and the locked seq + TX-horizon charge.
-  Result<PreparedSend> prepare_tx(EndpointId ep, const TxParams& tx,
-                                  SimTime local_vt);
-  /// Core of prepare_tx, writing into caller-owned packet storage and
-  /// returning accepted_vt — the allocation-free form the engine's
-  /// pooled staging calls; prepare_tx wraps it for the by-value users.
-  Result<SimTime> prepare_tx_into(Packet& out, EndpointId ep,
-                                  const TxParams& tx, SimTime local_vt);
+  /// The synchronous tail every verb shares: builds `tx`, injects it
+  /// (through inject_reliable when reliability is on), raises the
+  /// kError event on a drop and, for a send with an op_id, the
+  /// kSendComplete event.  Returns the send-buffer release time.
+  Result<SimTime> transmit(EndpointId ep, const TxParams& tx,
+                           SimTime local_vt);
 
   [[nodiscard]] Endpoint* find_ep(EndpointId ep) const;
   /// Ensures a slot for `id` exists and returns it.  Caller holds mutex_.
   std::atomic<Endpoint*>& ep_slot_locked(EndpointId id);
-  static void push_event(Endpoint& ep, Event e, std::size_t cap);
-  void count_tx_drop(const RouteResult& rr, EndpointId src_ep,
-                     std::uint64_t op_id, SimTime error_vt);
+  /// Appends `e` to `ep`'s event queue; at max_rx_queue_packets the
+  /// oldest event is dropped and counted in event_overflow.
+  void push_event(Endpoint& ep, Event e);
+  void count_tx_drop(DropReason r, EndpointId src_ep, std::uint64_t op_id,
+                     SimTime error_vt);
   /// Shared body of deliver()/deliver_from_engine(): consumes the
   /// packet, applies its effect, and returns the reply the target owes
   /// (TX-sequenced, `reliable` pre-set, not injected) — the two public
@@ -510,23 +505,16 @@ class CassiniNic {
   SimTime schedule_tx_locked(SimTime accepted_vt, TrafficClass tc,
                              SimDuration ser_time);
 
-  /// Routes `p` into the fabric: direct Fabric call when fabric_ is
-  /// set, the generic callback otherwise.
-  RouteResult inject(Packet&& p);
-
   /// Reliable injection: attempts `proto` (kept intact as the
-  /// retransmit master copy) up to 1 + max_retries times, charging
-  /// exponential seeded-jitter backoff to `vt_io` (the caller's
-  /// accepted-time, which the retries push forward) and rescheduling
-  /// each copy on the TX link.  Returns the final RouteResult;
+  /// retransmit master copy) up to 1 + the retry budget times, charging
+  /// each retry through schedule_retransmit (backoff pushes `vt_io`, the
+  /// caller's accepted-time, forward).  Returns the final RouteResult;
   /// non-transient reasons (authorization, unknown destination) fail
   /// fast without consuming budget.
   RouteResult inject_reliable(Packet& proto, SimTime& vt_io);
   /// Reasons a retransmit can cure (loss, flaps, dead links awaiting
   /// replan) vs. permanent rejections.
   [[nodiscard]] static bool transient_reason(DropReason r) noexcept;
-  /// The fabric manager's published table version (0 without a Fabric).
-  [[nodiscard]] std::uint64_t plan_version_now() const;
   /// Status for a failed op: annotates transient reasons with the
   /// exhausted retry budget when reliability is on.
   [[nodiscard]] Status drop_status_for(DropReason r) const;
@@ -536,8 +524,7 @@ class CassiniNic {
   bool accept_reliable(const Packet& p);
 
   const NicAddr addr_;
-  Fabric* const fabric_ = nullptr;  ///< direct injection fast path
-  const InjectFn inject_;           ///< generic fallback (unit-test rigs)
+  Fabric& fabric_;  ///< every packet enters the data plane through it
   std::shared_ptr<TimingModel> timing_;
   const NicLimits limits_;
 
@@ -574,6 +561,7 @@ class CassiniNic {
     std::atomic<std::uint64_t> rx_vni_mismatch{0};
     std::atomic<std::uint64_t> rma_denied{0};
     std::atomic<std::uint64_t> rx_overflow{0};
+    std::atomic<std::uint64_t> event_overflow{0};
     std::atomic<std::uint64_t> rel_retransmits{0};
     std::atomic<std::uint64_t> rel_duplicates{0};
     std::atomic<std::uint64_t> rel_budget_exhausted{0};

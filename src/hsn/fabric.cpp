@@ -50,7 +50,7 @@ std::unique_ptr<Fabric> Fabric::create(std::size_t nodes, TimingConfig config,
 
   // NICs attach last, each to its edge switch, so forwarding state is
   // complete before the first packet can possibly route.  The NIC sends
-  // through Fabric::inject and receives through its deliver() hook —
+  // through Fabric::inject and the switch delivers into its deliver() —
   // the Fabric owns both sides of the wiring.
   fabric->nics_.reserve(nodes);
   for (std::size_t i = 0; i < nodes; ++i) {

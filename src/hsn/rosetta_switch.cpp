@@ -36,33 +36,6 @@ RosettaSwitch::RosettaSwitch(std::shared_ptr<TimingModel> timing, SwitchId id,
       route_rng_(seed ^ (0x9e3779b97f4a7c15ULL * (id + 1))),
       fault_rng_(seed ^ (0xda3e39cb94b95bdbULL * (id + 1))) {}
 
-Status RosettaSwitch::connect(NicAddr addr, DeliveryFn deliver) {
-  if (!deliver) {
-    // admit_step discriminates local delivery from transit forwarding by
-    // the presence of the stored callback, so an empty one must never
-    // reach the port table.
-    return invalid_argument("delivery callback must be non-empty");
-  }
-  if (addr >= kMaxPortAddr) {
-    return invalid_argument(strfmt("NIC address %u exceeds the port-table "
-                                   "bound", addr));
-  }
-  {
-    std::lock_guard<SpinLock> lock(mutex_);
-    if (addr >= ports_.size()) {
-      ports_.resize(addr + 1);
-    }
-    if (ports_[addr].connected()) {
-      return already_exists(strfmt("port %u already connected", addr));
-    }
-    ports_[addr].deliver =
-        std::make_shared<const DeliveryFn>(std::move(deliver));
-    ++connected_ports_;
-  }
-  SHS_DEBUG(kTag) << "NIC connected at switch " << id_ << " port " << addr;
-  return Status::ok();
-}
-
 Status RosettaSwitch::connect(NicAddr addr, CassiniNic& nic) {
   if (addr >= kMaxPortAddr) {
     return invalid_argument(strfmt("NIC address %u exceeds the port-table "
@@ -490,44 +463,29 @@ SwitchId RosettaSwitch::choose_route_locked(Packet& p, SwitchId home,
 }
 
 RouteResult RosettaSwitch::step(Packet& p, bool check_src, int ttl,
-                                RosettaSwitch** next) {
-  CassiniNic* deliver_to = nullptr;
-  const RouteResult result = step(p, check_src, ttl, next, &deliver_to);
-  if (deliver_to != nullptr) deliver_to->deliver(std::move(p));
-  return result;
-}
-
-RouteResult RosettaSwitch::step(Packet& p, bool check_src, int ttl,
                                 RosettaSwitch** next,
                                 CassiniNic** deliver_to) {
-  *next = nullptr;
-  *deliver_to = nullptr;
-  AdmitStep step = admit_step(p, check_src, ttl);
-  if (step.nic != nullptr) {
-    // Deferred delivery: the caller applies the packet's effect on the
-    // NIC (and owns the target-side reply).  Set on kAckLost too — the
-    // packet reached the NIC; only the fabric ACK was lost.
-    *deliver_to = step.nic;
-    return step.result;
-  }
-  if (step.deliver != nullptr) {
-    (*step.deliver)(std::move(p));
-    return step.result;
-  }
-  *next = step.next;  // nullptr => dropped (reason recorded)
+  const AdmitStep step = admit_step(p, check_src, ttl);
+  // The caller applies the packet's effect on the NIC (and owns any
+  // target-side reply); null on forwards and drops.
+  *deliver_to = step.nic;
+  *next = step.next;  // null when delivered or dropped (reason recorded)
   return step.result;
 }
 
 RouteResult RosettaSwitch::route(Packet&& p) {
   // Iterative hop-by-hop walk: each switch takes its own mutex for one
   // admission step, and the packet object travels the whole path by
-  // reference — moved exactly once, into the delivery callback.
+  // reference — moved exactly once, into the destination NIC.
   RosettaSwitch* sw = this;
   bool check_src = true;
   int ttl = kMaxFabricHops;
   for (;;) {
     RosettaSwitch* next = nullptr;
-    const RouteResult result = sw->step(p, check_src, ttl, &next);
+    CassiniNic* deliver_to = nullptr;
+    const RouteResult result =
+        sw->step(p, check_src, ttl, &next, &deliver_to);
+    if (deliver_to != nullptr) deliver_to->deliver(std::move(p));
     if (next == nullptr) return result;  // delivered or dropped
     sw = next;
     check_src = false;
@@ -734,10 +692,7 @@ RosettaSwitch::AdmitStep RosettaSwitch::admit_step(Packet& p, bool check_src,
 
     step.result.delivered = true;
     step.result.arrival_vt = p.arrival_vt;
-    // Delivery happens outside the lock: direct NIC call when the
-    // Fabric wired the port, refcounted callback otherwise.
-    step.nic = dst_port->nic;
-    if (step.nic == nullptr) step.deliver = dst_port->deliver;
+    step.nic = dst_port->nic;  // delivered by the caller, outside the lock
 
     if (faults_armed_ && p.reliable && edge_faults_.ack_loss_rate > 0.0 &&
         fault_rng_.uniform() < edge_faults_.ack_loss_rate) {

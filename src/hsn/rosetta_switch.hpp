@@ -38,7 +38,6 @@
 
 #include <atomic>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -118,9 +117,6 @@ constexpr int kMaxFabricHops = 8;
 /// One switch.  Thread-safe: NIC threads route concurrently.
 class RosettaSwitch {
  public:
-  /// Callback a NIC registers to accept delivered packets.
-  using DeliveryFn = std::function<void(Packet&&)>;
-
   /// `seed` feeds the switch-local RNG behind Valiant intermediate
   /// selection (per-packet draws are otherwise deterministic).
   explicit RosettaSwitch(std::shared_ptr<TimingModel> timing,
@@ -128,13 +124,10 @@ class RosettaSwitch {
 
   [[nodiscard]] SwitchId id() const noexcept { return id_; }
 
-  /// Connects a NIC at fabric address `addr`.  Fails if taken.
-  Status connect(NicAddr addr, DeliveryFn deliver);
-  /// Fast-path variant: the Fabric connects its own CassiniNic objects
-  /// directly, so delivery is one virtual-free member call instead of a
-  /// std::function dispatch.  The NIC must outlive the switch wiring
-  /// (the Fabric owns both and destroys NICs first, after traffic
-  /// stops).
+  /// Connects `nic` at fabric address `addr`.  Fails if taken or if
+  /// `addr` is at or beyond kMaxPortAddr.  The NIC must outlive the
+  /// switch wiring (the Fabric owns both and destroys NICs first, after
+  /// traffic stops).
   Status connect(NicAddr addr, CassiniNic& nic);
   Status disconnect(NicAddr addr);
 
@@ -217,35 +210,25 @@ class RosettaSwitch {
 
   /// Routes `p` from its src port (which must be local to this switch).
   /// Computes `arrival_vt` from the timing model (per-hop latency,
-  /// per-link serialization, egress contention, TC penalty) and invokes
-  /// the destination NIC's delivery callback — possibly after forwarding
-  /// through peer switches — or drops.
+  /// per-link serialization, egress contention, TC penalty) and calls
+  /// the destination NIC's deliver() — possibly after forwarding
+  /// through peer switches — or drops.  Exactly step() in a loop.
   RouteResult route(Packet&& p);
 
-  /// One admission step of the hop-by-hop walk, exposed for external
-  /// drivers (the sharded data-plane engine) that interleave hops from
-  /// many packets in virtual-time order instead of walking each packet
-  /// to completion.  Takes this switch's mutex once.  Outcomes:
-  ///  - delivered locally (or consumed with reason == kAckLost): the
-  ///    packet has been moved into the NIC/callback, `*next` is null;
-  ///  - dropped: `*next` is null, `result.reason` set, `p` untouched
-  ///    beyond the admission mutations;
+  /// One admission step of the hop-by-hop walk: route() loops it, and
+  /// the sharded data-plane engine interleaves hops from many packets in
+  /// virtual-time order with it.  Takes this switch's mutex once and
+  /// never delivers itself.  Outcomes:
+  ///  - lands on a local NIC: `*deliver_to` is that NIC and `p` is left
+  ///    intact for the caller to hand over (CassiniNic::deliver, or
+  ///    deliver_from_engine when the caller routes the target-side
+  ///    reply itself).  Also set on kAckLost consumption: the packet
+  ///    DID reach the NIC, only the fabric-level ACK was lost;
+  ///  - dropped: both out-pointers null, `result.reason` set, `p`
+  ///    untouched beyond the admission mutations;
   ///  - forward: `*next` is the peer switch for the following step and
   ///    `p.inject_vt` has been advanced to its arrival there.  The
   ///    caller passes check_src = false and ttl - 1 on that next step.
-  /// route() is exactly this in a loop; semantics are identical.
-  RouteResult step(Packet& p, bool check_src, int ttl, RosettaSwitch** next);
-
-  /// Variant for drivers that own delivery ordering (the ShardEngine):
-  /// identical admission semantics, but when the packet would land on a
-  /// NIC attached via the direct-fabric path, the packet is NOT handed
-  /// to the NIC — `*deliver_to` is set and `p` left intact so the caller
-  /// can invoke `CassiniNic::deliver_from_engine` itself and route any
-  /// target-side reply through its own deterministic merge machinery.
-  /// Callback-attached ports (no CassiniNic to return) still deliver
-  /// inline.  `*deliver_to` is also set on kAckLost consumption: the
-  /// packet DID reach the NIC (the effect must be applied; only the
-  /// fabric-level ACK was lost on the return path).
   RouteResult step(Packet& p, bool check_src, int ttl, RosettaSwitch** next,
                    CassiniNic** deliver_to);
 
@@ -273,13 +256,7 @@ class RosettaSwitch {
 
  private:
   struct Port {
-    /// Direct-delivery fast path (Fabric-owned NICs); preferred when set.
-    CassiniNic* nic = nullptr;
-    /// Generic delivery callback (tests, custom rigs).  Shared so it can
-    /// be invoked outside mutex_ with one refcount bump instead of a
-    /// std::function copy per packet.  A connected port has exactly one
-    /// of `nic` / `deliver` set.
-    std::shared_ptr<const DeliveryFn> deliver;
+    CassiniNic* nic = nullptr;  ///< null = port not connected
     /// Authorized VNIs with their pre-resolved counter slabs, ascending
     /// by VNI.  Ports hold a handful of VNIs, so the edge check is a
     /// short linear scan — no hashing, and the delivered/dropped
@@ -291,9 +268,7 @@ class RosettaSwitch {
     /// traffic (preemption is frame-granular, as on Rosetta).
     SimTime egress_free_vt[kNumTrafficClasses] = {0, 0, 0, 0};
 
-    [[nodiscard]] bool connected() const noexcept {
-      return nic != nullptr || deliver != nullptr;
-    }
+    [[nodiscard]] bool connected() const noexcept { return nic != nullptr; }
     /// Counter slab for `vni` if this port is authorized, else nullptr.
     [[nodiscard]] SwitchCounters* slab_for(Vni vni) const noexcept {
       for (const auto& [v, slab] : vnis) {
@@ -319,13 +294,12 @@ class RosettaSwitch {
     FaultProfile faults;
     std::vector<std::pair<SimTime, SimTime>> flaps;
   };
-  /// What one locked admission step decided: deliver locally (non-null
-  /// `deliver`), forward to `next`, or drop (`result.reason` set).  The
-  /// delivery/forward happens outside the lock.
+  /// What one locked admission step decided: deliver to `nic`, forward
+  /// to `next`, or drop (`result.reason` set).  The delivery/forward
+  /// happens outside the lock.
   struct AdmitStep {
     RouteResult result;
-    CassiniNic* nic = nullptr;  ///< direct local delivery
-    std::shared_ptr<const DeliveryFn> deliver;  ///< callback delivery
+    CassiniNic* nic = nullptr;
     RosettaSwitch* next = nullptr;
   };
 

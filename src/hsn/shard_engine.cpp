@@ -123,59 +123,49 @@ ShardEngine::~ShardEngine() {
   for (auto& w : workers_) w.join();
 }
 
-void ShardEngine::stage_attempt(Domain& home, Packet&& p,
-                                std::uint32_t attempt) {
-  const std::uint32_t slot = alloc_slot(home);
+ShardEngine::Ref ShardEngine::arm_attempt(Domain& d, std::uint32_t slot,
+                                          std::uint32_t attempt) {
   Item& it = slot_item(slot);
-  it.at = fabric_.home_switch(p.src);
-  it.p = std::move(p);
+  it.at = fabric_.home_switch(it.p.src);
   it.ttl = kMaxFabricHops;
   it.check_src = true;
   it.attempt = attempt;
-  it.seq = take_seq(home);
-  ++home.attempts;
-  push_fresh(home, Ref{it.p.inject_vt, it.seq, slot});
+  it.seq = take_seq(d);
+  ++d.attempts;
+  return Ref{it.p.inject_vt, it.seq, slot};
 }
 
-void ShardEngine::stage_post(NicAddr src, Packet&& pkt, SimTime accepted_vt) {
+void ShardEngine::track_op(Domain& d, const Packet& p, SimTime vt_io) {
+  OpState op;
+  op.master = p;  // retransmit master; attempts send copies
+  op.vt_io = vt_io;
+  d.ops.emplace(op_key(p.src, p.seq), std::move(op));
+}
+
+Status ShardEngine::post_tx(NicAddr src, EndpointId ep,
+                            const CassiniNic::TxParams& tx,
+                            SimTime local_vt) {
+  // Built straight into the pool slot the attempt hops from, so the
+  // packet never moves before its first step.
   Domain& home = domains_[home_domain_of_nic_[src]];
-  if (pkt.reliable) {
-    OpState op;
-    op.master = pkt;  // retransmit master; attempts send copies
-    op.vt_io = accepted_vt;
-    home.ops.emplace(op_key(src, pkt.seq), std::move(op));
+  const std::uint32_t slot = alloc_slot(home);
+  Item& it = slot_item(slot);
+  auto accepted = fabric_.nic(src).prepare_tx_into(it.p, ep, tx, local_vt);
+  if (!accepted.is_ok()) {
+    free_slot(slot);
+    return accepted.status();
   }
-  stage_attempt(home, std::move(pkt), 0);
+  if (it.p.reliable) track_op(home, it.p, accepted.value());
+  push_fresh(home, arm_attempt(home, slot, 0));
+  return Status::ok();
 }
 
 Status ShardEngine::post_send(NicAddr src, EndpointId ep, NicAddr dst,
                               EndpointId dst_ep, std::uint64_t tag,
                               std::uint64_t size_bytes, SimTime local_vt) {
-  // The highest-rate verb builds straight into its pool slot
-  // (prepare_send_into): no PreparedSend, no Packet move chain.
-  Domain& home = domains_[home_domain_of_nic_[src]];
-  const std::uint32_t slot = alloc_slot(home);
-  Item& it = slot_item(slot);
-  auto accepted = fabric_.nic(src).prepare_send_into(
-      it.p, ep, dst, dst_ep, tag, size_bytes, local_vt);
-  if (!accepted.is_ok()) {
-    free_slot(slot);
-    return accepted.status();
-  }
-  if (it.p.reliable) {
-    OpState op;
-    op.master = it.p;  // retransmit master; attempts send copies
-    op.vt_io = accepted.value();
-    home.ops.emplace(op_key(src, it.p.seq), std::move(op));
-  }
-  it.at = fabric_.home_switch(src);
-  it.ttl = kMaxFabricHops;
-  it.check_src = true;
-  it.attempt = 0;
-  it.seq = take_seq(home);
-  ++home.attempts;
-  push_fresh(home, Ref{it.p.inject_vt, it.seq, slot});
-  return Status::ok();
+  return post_tx(src, ep,
+                 CassiniNic::TxParams::send(dst, dst_ep, tag, size_bytes),
+                 local_vt);
 }
 
 Status ShardEngine::post_rma_write(NicAddr src, EndpointId ep, NicAddr dst,
@@ -183,24 +173,20 @@ Status ShardEngine::post_rma_write(NicAddr src, EndpointId ep, NicAddr dst,
                                    std::uint64_t size_bytes,
                                    std::span<const std::byte> payload,
                                    SimTime local_vt, std::uint64_t op_id) {
-  auto prepared = fabric_.nic(src).prepare_rma_write(
-      ep, dst, rkey, offset, size_bytes, payload, local_vt, op_id);
-  if (!prepared.is_ok()) return prepared.status();
-  CassiniNic::PreparedSend ps = std::move(prepared).value();
-  stage_post(src, std::move(ps.packet), ps.accepted_vt);
-  return Status::ok();
+  return post_tx(src, ep,
+                 CassiniNic::TxParams::rma_write(dst, rkey, offset,
+                                                 size_bytes, payload, op_id),
+                 local_vt);
 }
 
 Status ShardEngine::post_rma_read(NicAddr src, EndpointId ep, NicAddr dst,
                                   RKey rkey, std::uint64_t offset,
                                   std::uint64_t size_bytes, SimTime local_vt,
                                   std::uint64_t op_id) {
-  auto prepared = fabric_.nic(src).prepare_rma_read(
-      ep, dst, rkey, offset, size_bytes, local_vt, op_id);
-  if (!prepared.is_ok()) return prepared.status();
-  CassiniNic::PreparedSend ps = std::move(prepared).value();
-  stage_post(src, std::move(ps.packet), ps.accepted_vt);
-  return Status::ok();
+  return post_tx(src, ep,
+                 CassiniNic::TxParams::rma_read(dst, rkey, offset, size_bytes,
+                                                op_id),
+                 local_vt);
 }
 
 std::uint64_t ShardEngine::in_flight() const {
@@ -553,7 +539,7 @@ void ShardEngine::step_item(Domain& d, const Ref& ref, SimTime window_end) {
     // the packet reached the NIC, only the fabric ACK was lost — its
     // effect must apply exactly as on the synchronous path).  Any
     // target-side reply is staged here, in the target's own domain,
-    // instead of re-entering Fabric::inject from the delivery callback.
+    // instead of re-entering Fabric::inject from CassiniNic::deliver.
     auto reply = deliver_to->deliver_from_engine(std::move(it.p));
     free_slot(ref.slot);
     if (reply) stage_reply(d, std::move(*reply), window_end);
@@ -620,24 +606,12 @@ void ShardEngine::stage_reply(Domain& d, Packet&& reply, SimTime window_end) {
   // this domain has stepped, so processing order is preserved; other
   // domains' window edges already account for it because it is dated at
   // or beyond this domain's own earliest.
-  if (reply.reliable) {
-    // Completion traffic gets the full retransmit protocol, same as the
-    // synchronous path's inject_reliable on the reply.
-    OpState op;
-    op.master = reply;
-    op.vt_io = reply.inject_vt;
-    d.ops.emplace(op_key(reply.src, reply.seq), std::move(op));
-  }
+  // Completion traffic gets the full retransmit protocol, same as the
+  // synchronous path's inject_reliable on the reply.
+  if (reply.reliable) track_op(d, reply, reply.inject_vt);
   const std::uint32_t slot = alloc_slot(d);
-  Item& it = slot_item(slot);
-  it.at = fabric_.home_switch(reply.src);
-  it.p = std::move(reply);
-  it.ttl = kMaxFabricHops;
-  it.check_src = true;
-  it.attempt = 0;
-  it.seq = take_seq(d);
-  ++d.attempts;
-  const Ref r{it.p.inject_vt, it.seq, slot};
+  slot_item(slot).p = std::move(reply);
+  const Ref r = arm_attempt(d, slot, 0);
   if (r.vt < window_end) {
     push_spawn(d, r);
   } else {
@@ -724,8 +698,9 @@ void ShardEngine::process_notice(const Notice& n) {
       ++op.attempt;
       (void)nic.schedule_retransmit(op.master,
                                     static_cast<int>(op.attempt), op.vt_io);
-      Packet copy = op.master;
-      stage_attempt(home, std::move(copy), op.attempt);
+      const std::uint32_t slot = alloc_slot(home);
+      slot_item(slot).p = Packet(op.master);
+      push_fresh(home, arm_attempt(home, slot, op.attempt));
       break;
     }
     case Notice::Kind::kDrop: {

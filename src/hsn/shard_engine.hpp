@@ -65,7 +65,7 @@
 // one-sided RMA (post_rma_write / post_rma_read).  A delivery's
 // target-side reply (RMA ACK, read response, NACK) is returned by
 // CassiniNic::deliver_from_engine instead of re-entering Fabric::inject
-// from the callback, and is staged in the *target's* domain — so
+// from CassiniNic::deliver, and is staged in the *target's* domain — so
 // completion traffic, and its reliable-delivery retransmits, ride the
 // same deterministic (domain, vt, seq) merge order as everything else.
 #pragma once
@@ -82,6 +82,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "hsn/cassini_nic.hpp"
 #include "hsn/packet.hpp"
 #include "hsn/rosetta_switch.hpp"
 #include "hsn/types.hpp"
@@ -436,14 +437,23 @@ class ShardEngine {
     d.spawn.insert(pos, r);
   }
 
-  void stage_attempt(Domain& home, Packet&& p, std::uint32_t attempt);
+  /// Arms the attempt whose packet already sits in pool `slot` of `d`,
+  /// the home domain of its source NIC: walk state from that NIC's edge
+  /// switch, attempt number, and a fresh engine seq.  Returns the ref
+  /// the caller queues (fresh batch, or spawn run inside a window).
+  Ref arm_attempt(Domain& d, std::uint32_t slot, std::uint32_t attempt);
+  /// Registers retransmit state for reliable packet `p` in its home
+  /// domain `d`; `vt_io` is the base the backoff grows from.
+  void track_op(Domain& d, const Packet& p, SimTime vt_io);
   /// Appends a terminal-outcome notice to the producing domain's
   /// per-home-domain queue (processed at the barrier) and marks the
   /// window non-silent.
   void stage_notice(Domain& d, const Notice& n);
-  /// Shared post_* tail: registers reliable-op state in the source
-  /// NIC's home domain and stages the first attempt.
-  void stage_post(NicAddr src, Packet&& pkt, SimTime accepted_vt);
+  /// Shared body of the post_* verbs: builds `tx` on NIC `src` straight
+  /// into a pool slot of the NIC's home domain, registers reliable-op
+  /// state there and stages the first attempt.
+  Status post_tx(NicAddr src, EndpointId ep, const CassiniNic::TxParams& tx,
+                 SimTime local_vt);
   /// Stages a target-side reply (RMA ACK / read response / NACK) in the
   /// target's own domain `d` — called by the owning worker mid-window,
   /// which is safe because the worker is the domain's only toucher and

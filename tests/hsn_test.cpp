@@ -113,16 +113,11 @@ TEST(Nic, VniZeroIsReserved) {
 }
 
 TEST(Nic, EndpointLimitEnforced) {
-  auto timing = TimingConfig{};
-  auto f = Fabric::create(1, timing);
+  auto f = Fabric::create(1);
   NicLimits limits;
   limits.max_endpoints = 4;
-  // A standalone NIC wired straight to the switch (no Fabric::inject):
-  // the unit-test form of the injection callback.
-  CassiniNic nic(
-      10,
-      [sw = f->switch_ptr()](Packet&& p) { return sw->route(std::move(p)); },
-      f->timing(), limits);
+  // A NIC built by hand on the fabric, with its own limits.
+  CassiniNic nic(10, *f, f->timing(), limits);
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(nic.alloc_endpoint(1, TrafficClass::kBestEffort).is_ok());
   }
@@ -130,39 +125,39 @@ TEST(Nic, EndpointLimitEnforced) {
             Code::kResourceExhausted);
 }
 
-TEST(Switch, CallbackDeliveryAndDisconnect) {
-  // The generic DeliveryFn port path (custom rigs; Fabric-owned NICs
-  // use the direct CassiniNic wiring instead) delivers and disconnects.
+TEST(Switch, HandWiredPortDeliveryAndDisconnect) {
+  // A NIC wired by hand to a port outside the fabric plan receives
+  // through the same deliver() path as a Fabric-owned NIC, and a
+  // disconnected port stops receiving.
   auto f = Fabric::create(2);
-  auto sw = f->switch_ptr();
-  std::vector<Packet> got;
-  ASSERT_TRUE(
-      sw->connect(10, [&](Packet&& p) { got.push_back(std::move(p)); })
-          .is_ok());
-  ASSERT_TRUE(sw->authorize_vni(0, 300).is_ok());
-  ASSERT_TRUE(sw->authorize_vni(10, 300).is_ok());
-  Packet p;
-  p.src = 0;
-  p.dst = 10;
-  p.vni = 300;
-  p.size_bytes = 8;
-  EXPECT_TRUE(sw->route(std::move(p)).delivered);
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].dst, 10u);
+  RosettaSwitch& sw = f->switch_at(0);
+  CassiniNic nic(10, *f, f->timing());
+  ASSERT_TRUE(sw.connect(10, nic).is_ok());
+  ASSERT_TRUE(sw.authorize_vni(0, 300).is_ok());
+  ASSERT_TRUE(sw.authorize_vni(10, 300).is_ok());
+  auto ep = nic.alloc_endpoint(300, TrafficClass::kBestEffort);
+  ASSERT_TRUE(ep.is_ok());
+  const auto packet_to_10 = [&] {
+    Packet p;
+    p.src = 0;
+    p.dst = 10;
+    p.dst_ep = ep.value();
+    p.vni = 300;
+    p.size_bytes = 8;
+    return p;
+  };
+  EXPECT_TRUE(sw.route(packet_to_10()).delivered);
+  auto got = nic.poll_rx(ep.value());
+  ASSERT_TRUE(got.is_ok());
+  EXPECT_EQ(got.value().dst, 10u);
 
-  ASSERT_TRUE(sw->disconnect(10).is_ok());
-  Packet q;
-  q.src = 0;
-  q.dst = 10;
-  q.vni = 300;
-  q.size_bytes = 8;
-  const RouteResult rr = sw->route(std::move(q));
+  ASSERT_TRUE(sw.disconnect(10).is_ok());
+  const RouteResult rr = sw.route(packet_to_10());
   EXPECT_FALSE(rr.delivered);
   EXPECT_EQ(rr.reason, DropReason::kUnknownDestination);
 
   // Absurd addresses are rejected instead of materializing port slots.
-  EXPECT_EQ(sw->connect(0xfffffff0u, [](Packet&&) {}).code(),
-            Code::kInvalidArgument);
+  EXPECT_EQ(sw.connect(0xfffffff0u, nic).code(), Code::kInvalidArgument);
 }
 
 TEST(Nic, FreedEndpointStopsReceiving) {
@@ -349,13 +344,12 @@ TEST(Nic, RxOverflowIsCountedTailDrop) {
   auto f = Fabric::create(1);
   NicLimits limits;
   limits.max_rx_queue_packets = 4;
-  CassiniNic rx_nic(
-      10,
-      [sw = f->switch_ptr()](Packet&& p) { return sw->route(std::move(p)); },
-      f->timing(), limits);
-  ASSERT_TRUE(f->switch_ptr()->connect(10, rx_nic).is_ok());
-  ASSERT_TRUE(f->switch_ptr()->authorize_vni(0, 100).is_ok());
-  ASSERT_TRUE(f->switch_ptr()->authorize_vni(10, 100).is_ok());
+  // A receiver wired by hand to port 10, with a 4-packet RX ring.
+  CassiniNic rx_nic(10, *f, f->timing(), limits);
+  RosettaSwitch& sw = f->switch_at(0);
+  ASSERT_TRUE(sw.connect(10, rx_nic).is_ok());
+  ASSERT_TRUE(sw.authorize_vni(0, 100).is_ok());
+  ASSERT_TRUE(sw.authorize_vni(10, 100).is_ok());
   auto ep0 = f->nic(0).alloc_endpoint(100, TrafficClass::kBestEffort);
   auto ep1 = rx_nic.alloc_endpoint(100, TrafficClass::kBestEffort);
 
@@ -379,6 +373,33 @@ TEST(Nic, RxOverflowIsCountedTailDrop) {
       f->nic(0).post_send(ep0.value(), 10, ep1.value(), 9, 8, {}, 0)
           .is_ok());
   EXPECT_EQ(rx_nic.counters().rx_overflow, 2u);
+}
+
+TEST(Nic, EventOverflowIsCounted) {
+  // The event queue shares the RX bound: at 4 queued events the oldest
+  // gives way to the newest, and every discarded completion is counted.
+  auto f = Fabric::create(1);
+  NicLimits limits;
+  limits.max_rx_queue_packets = 4;
+  // Address 10 has no home switch in the plan, so every send drops
+  // (kNoRoute) and raises a kError event.
+  CassiniNic nic(10, *f, f->timing(), limits);
+  auto ep = nic.alloc_endpoint(100, TrafficClass::kBestEffort);
+  ASSERT_TRUE(ep.is_ok());
+  for (std::uint64_t op = 1; op <= 6; ++op) {
+    EXPECT_EQ(nic.post_send(ep.value(), 0, 1, 0, 8, {}, 0, op).code(),
+              Code::kUnavailable);
+  }
+  EXPECT_EQ(nic.counters().tx_dropped, 6u);
+  EXPECT_EQ(nic.counters().event_overflow, 2u);
+  // The newest four survive, in order.
+  for (std::uint64_t op = 3; op <= 6; ++op) {
+    auto e = nic.poll_event(ep.value());
+    ASSERT_TRUE(e.is_ok());
+    EXPECT_EQ(e.value().type, Event::Type::kError);
+    EXPECT_EQ(e.value().op_id, op);
+  }
+  EXPECT_EQ(nic.poll_event(ep.value()).code(), Code::kUnavailable);
 }
 
 // -- NIC-level reliable delivery. -------------------------------------------
